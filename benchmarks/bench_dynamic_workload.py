@@ -4,7 +4,7 @@ The paper's §1 motivation measured end to end: one reproducible trace of
 Zipf-skewed queries interleaved with edge updates is replayed, per
 read/write ratio, against
 
-- ``probesim-batched`` — index-free, vectorized; maintenance is an O(m)
+- ``probesim-native`` — index-free, vectorized; maintenance is an O(m)
   snapshot re-sync;
 - ``tsf`` — the updatable index baseline; incremental one-way-graph
   patching per update;
@@ -26,7 +26,7 @@ from repro.workloads import generate_workload, run_workload
 DATASET = "as"
 SEED = 2017
 READ_FRACTIONS = [0.5, 0.9, 0.99]
-METHODS = ["probesim-batched", "tsf", "probesim-walkindex"]
+METHODS = ["probesim-native", "tsf", "probesim-walkindex"]
 NUM_OPS = {"tiny": 150, "small": 600, "paper": 2000}[SCALE]
 WORKERS = {"tiny": 2, "small": 2, "paper": 4}[SCALE]
 EPS_A = 0.2
@@ -35,7 +35,7 @@ EPS_A = 0.2
 def method_configs() -> dict[str, dict]:
     """Per-method configuration at the harness scale (fixed seeds)."""
     return {
-        "probesim-batched": {"eps_a": EPS_A, "delta": 0.1, "seed": SEED},
+        "probesim-native": {"eps_a": EPS_A, "delta": 0.1, "seed": SEED},
         "tsf": {"rg": TSF_RG, "rq": TSF_RQ, "depth": 8, "seed": SEED},
         "probesim-walkindex": {"eps_a": EPS_A, "delta": 0.1, "seed": SEED},
     }

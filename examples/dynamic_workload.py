@@ -4,7 +4,7 @@ Generates one reproducible workload trace (Zipf-skewed queries interleaved
 with edge updates) and replays it against three methods with different
 maintenance stories:
 
-- ``probesim-batched``  — index-free; maintenance is an O(m) re-snapshot;
+- ``probesim-native``   — index-free; maintenance is an O(m) re-snapshot;
 - ``tsf``               — updatable index; incremental patch per update;
 - ``probesim-walkindex``— walk cache; fine-grained invalidation per update.
 
@@ -16,11 +16,11 @@ from repro.eval.reporting import format_table
 from repro.graph.generators import erdos_renyi_graph
 
 SEED = 7
-METHODS = ["probesim-batched", "tsf", "probesim-walkindex"]
+METHODS = ["probesim-native", "tsf", "probesim-walkindex"]
 CONFIGS = {
     # num_walks overrides keep the example fast; drop them for the
     # Chernoff-sized budgets (eps_a/delta) the experiments use
-    "probesim-batched": {"num_walks": 150, "seed": SEED},
+    "probesim-native": {"num_walks": 150, "seed": SEED},
     "tsf": {"rg": 40, "rq": 6, "depth": 6, "seed": SEED},
     "probesim-walkindex": {"num_walks": 150, "seed": SEED},
 }
@@ -45,7 +45,7 @@ def main() -> None:
 
     # the replay is bit-reproducible: same trace + seeds => same digests
     # (re-checked on the two cheap methods to keep the example snappy)
-    subset = ["probesim-batched", "tsf"]
+    subset = ["probesim-native", "tsf"]
     configs = {name: CONFIGS[name] for name in subset}
     first = run_workload(graph, trace, subset, configs=configs, workers=2)
     again = run_workload(graph, trace, subset, configs=configs, workers=2)

@@ -38,7 +38,7 @@ from repro.storage import (
 )
 from repro.workloads import WorkloadConfig, WorkloadTrace, generate_workload, run_workload
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AdaptiveTopK",

@@ -87,7 +87,7 @@ class DeterminismRule(Rule):
                         node.col_offset,
                         f"{qual}:default-rng:{name}",
                         f"{name} without a concrete seed falls back to OS entropy; "
-                        "thread the run seed (or utils.rng.derive_stream) through",
+                        "thread the run seed through",
                     )
                 )
             elif name.startswith("secrets."):

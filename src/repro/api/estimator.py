@@ -76,10 +76,9 @@ class Capabilities:
         True when :meth:`SimRankEstimator.apply_updates` patches state
         per-edge instead of falling back to a full :meth:`~SimRankEstimator.sync`.
     vectorized:
-        True when queries execute through a batched, level-synchronous
-        kernel (one C-level sweep per walk batch — ProbeSim's trie-sharing
-        engine, :mod:`repro.core.batch_engine`) rather than per-walk
-        interpreter loops.  Serving layers prefer vectorized methods for
+        True when queries execute through a level-synchronous kernel (one
+        sweep per walk batch — ProbeSim's native engine,
+        :mod:`repro.core.native`) rather than per-walk interpreter loops.  Serving layers prefer vectorized methods for
         high-throughput batches.
     parallel_safe:
         True when the method is practical behind the process-parallel

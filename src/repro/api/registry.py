@@ -160,7 +160,7 @@ def capability_rows() -> list[dict[str, object]]:
 _PROBESIM_KEYS = (
     "c", "eps_a", "delta", "seed", "num_walks", "max_walk_length", "backend",
     "engine", "sampling_fraction", "truncation_fraction", "pruning_fraction",
-    "compensate_truncation", "prune", "hybrid_switch_constant", "query_seeded",
+    "compensate_truncation", "prune", "hybrid_switch_constant",
 )
 _PROBESIM_PROBE = {"eps_a": 0.2, "delta": 0.1, "num_walks": 60}
 
@@ -185,12 +185,14 @@ def _register_builtins() -> None:
             return ProbeSim(graph, **config)
         return factory
 
-    def probesim_caps(strategy: str, vectorized: bool = False) -> Capabilities:
-        """ProbeSim's capability profile (index-free, O(m) sync)."""
+    def probesim_caps(strategy: str) -> Capabilities:
+        """ProbeSim's capability profile (index-free, O(m) sync); engine="auto"
+        runs the deterministic dedup strategy on the native kernels."""
+        native = strategy == "batch"
         return Capabilities(
             method=f"probesim-{strategy}", exact=False, index_based=False,
             supports_dynamic=True, incremental_updates=False,
-            vectorized=vectorized, parallel_safe=True, native=False,
+            vectorized=native, parallel_safe=True, native=native,
         )
 
     register(
@@ -208,28 +210,8 @@ def _register_builtins() -> None:
             summary=f"ProbeSim pinned to the {strategy!r} strategy",
             config_keys=_PROBESIM_KEYS,
             probe_config=_PROBESIM_PROBE,
-            # engine="auto" routes the deterministic dedup strategy through
-            # the batched trie-sharing kernel (repro.core.batch_engine)
-            capabilities=probesim_caps(strategy, vectorized=strategy == "batch"),
+            capabilities=probesim_caps(strategy),
         )
-
-    def probesim_batched_factory(graph, **config):
-        """ProbeSim pinned to the batched trie-sharing execution engine."""
-        config.setdefault("strategy", "batch")
-        return ProbeSim(graph, engine="batched", **config)
-
-    register(
-        "probesim-batched",
-        probesim_batched_factory,
-        summary="ProbeSim on the batched trie-sharing engine (serving hot path)",
-        config_keys=tuple(k for k in _PROBESIM_KEYS if k != "engine") + ("strategy",),
-        probe_config=_PROBESIM_PROBE,
-        capabilities=Capabilities(
-            method="probesim-batched", exact=False, index_based=False,
-            supports_dynamic=True, incremental_updates=False, vectorized=True,
-            parallel_safe=True, native=False,
-        ),
-    )
 
     def probesim_native_factory(graph, **config):
         """ProbeSim pinned to the native (numba/numpy) kernel engine."""

@@ -9,49 +9,43 @@ Public surface:
     parameters and the Theorem 2 error-budget solver.
 :class:`~repro.core.results.SimRankResult` / :class:`~repro.core.results.TopKResult`
     query result containers.
-:class:`~repro.core.walk_trie.WalkTrie` / :func:`~repro.core.batch_engine.probe_trie_forest`
-    the batched trie-sharing execution engine (see below).
+:class:`~repro.core.walk_trie.WalkTrie`
+    the array-backed prefix trie the native engine sweeps (see below).
 
-Execution engines — the trie-sharing idea
------------------------------------------
+Execution engines
+-----------------
 
 ProbeSim's per-query cost is dominated by probing the sampled √c-walks.  The
 **loop engine** (``engine="loop"``) follows the paper literally: every
 distinct walk prefix in the reachability tree is probed by its own frontier
 propagation, so a batch of ``R`` walks pays ``O(sum_t depth_t)``
-interpreter-driven propagation steps.
+interpreter-driven propagation steps.  It is the cross-validation oracle
+(the transliteration of Algorithms 1-3), runs the ``python`` probe backend
+on mutable graphs, and serves the ``randomized``/``hybrid`` strategies,
+whose probes draw RNG per path.
 
-The **batched engine** (``engine="batched"``) exploits two algebraic facts:
+The **native engine** (``engine="native"``, :mod:`repro.core.native`, and
+what ``engine="auto"`` picks for ``strategy="batch"``) exploits two
+algebraic facts:
 
 1. all prefixes ending at the same trie level have the same number of
    propagation steps left, and
 2. PROBE is linear in its start vector, while the "avoid" projection at each
    step depends only on the *parent* trie node — which siblings share.
 
-So instead of one probe per prefix it seeds every distinct prefix with its
-walk multiplicity, advances **all columns of a trie level with one sparse
-matmul**, zeroes each column at its parent's graph node, and merges sibling
-columns into their parent before the next step.  The whole batch costs one
-C-level kernel per trie level (and a multi-query batch shares the same
-sweep as a forest) instead of ``O(R x levels)`` Python probes — typically a
-several-fold single-query speedup and more under batching; see
-``benchmarks/bench_batched_engine.py``.
-
-When to prefer which engine:
-
-- ``batched`` (default for ``strategy="batch"`` via ``engine="auto"``):
-  throughput — large graphs, many walks, multi-query service batches.
-- ``loop``: the cross-validation oracle (it is the transliteration of
-  Algorithms 1-3), the ``python`` probe backend on mutable graphs, and the
-  ``randomized``/``hybrid`` strategies, whose probes draw RNG per path.
-
-Both engines sample walks through the same generator in the same order, so
-a fixed seed gives identical walk sets, and results agree node-for-node to
-float round-off (bit-for-bit when every intermediate is exactly
-representable — the golden-equivalence suite in ``tests/core`` pins both).
+So instead of one probe per prefix it seeds every distinct prefix of the
+:class:`~repro.core.walk_trie.WalkTrie` with its walk multiplicity, merges
+sibling columns into their parent, and advances a whole trie level per
+step, sparse while the columns are narrow and as one dense matmul once
+they widen.  Its walks come from a counter RNG keyed on
+``(seed, query, walk, step)``, so with an integer seed every answer is a
+pure function of ``(config, graph, query)``: call order and batch
+composition never change a bit.  The native suite in ``tests/core`` checks
+it against the loop engine's hash-map oracle (bit-for-bit on dyadic graphs,
+to float round-off elsewhere); ``benchmarks/bench_native_engine.py``
+measures the two engines side by side.
 """
 
-from repro.core.batch_engine import probe_trie_forest, probe_trie_shared
 from repro.core.config import ErrorBudget, ProbeSimConfig
 from repro.core.engine import ProbeSim
 from repro.core.probe import probe_deterministic
@@ -71,8 +65,6 @@ __all__ = [
     "WalkTrie",
     "probe_deterministic",
     "probe_randomized",
-    "probe_trie_forest",
-    "probe_trie_shared",
     "sample_sqrt_c_walk",
     "sample_walk_arrays",
     "truncation_length",

@@ -34,9 +34,8 @@ STRATEGIES = ("basic", "batch", "randomized", "hybrid")
 #: deterministic-probe backends.
 BACKENDS = ("vectorized", "python")
 
-#: probe-execution engines (see repro.core.batch_engine for "batched" and
-#: repro.core.native for "native").
-ENGINES = ("auto", "loop", "batched", "native")
+#: probe-execution engines (see repro.core.native for "native").
+ENGINES = ("auto", "loop", "native")
 
 
 @dataclass(frozen=True)
@@ -137,26 +136,21 @@ class ProbeSimConfig:
         cross-validation and for running directly on a mutable DiGraph).
     engine:
         How probes are *executed*: ``"loop"`` runs one probe per distinct
-        prefix through the per-walk code path (the oracle engine);
-        ``"batched"`` runs the whole walk batch as one level-synchronous
-        sweep over the prefix trie (:mod:`repro.core.batch_engine`) — one
-        sparse matmul per trie level instead of one Python probe per prefix;
-        ``"native"`` (:mod:`repro.core.native`) fuses walk sampling, trie
-        construction, and a hybrid sparse/dense level sweep into compiled
-        kernels (numba when installed, a byte-identical numpy fallback
-        otherwise) driven by a counter-based RNG keyed on
-        ``(seed, query, walk, step)`` — every query's bits depend only on
-        ``(config, graph, seed, query)``, never on batch composition.
-        The default ``"auto"`` picks ``"batched"`` for the deterministic
-        dedup strategy (``strategy="batch"`` on the vectorized backend,
-        whose results it reproduces to float round-off) and ``"loop"``
-        everywhere else (``basic`` is the per-walk ablation baseline;
-        ``randomized``/``hybrid`` draw RNG inside individual probes).
-        ``"auto"`` never resolves to ``"native"``: the native RNG is a
-        different (counter-based) stream, so its scores are statistically
-        equivalent but not bit-equal to the other engines' — selecting it
-        is an explicit choice.  Both ``"batched"`` and ``"native"`` require
-        a deterministic strategy and the vectorized backend.
+        prefix through the per-walk code path (the paper-faithful oracle
+        engine); ``"native"`` (:mod:`repro.core.native`) fuses walk
+        sampling, trie construction, and a hybrid sparse/dense level sweep
+        into compiled kernels (numba when installed, a byte-identical numpy
+        fallback otherwise) driven by a counter-based RNG keyed on
+        ``(seed, query, walk, step)``.  With an integer seed every native
+        answer is a pure function of ``(config, graph, seed, query)`` —
+        never of call order or batch composition.
+        The default ``"auto"`` picks ``"native"`` for the deterministic
+        dedup strategy (``strategy="batch"`` on the vectorized backend) and
+        ``"loop"`` everywhere else (``basic`` is the per-walk ablation
+        baseline; ``randomized``/``hybrid`` draw RNG inside individual
+        probes; the ``python`` backend is the dict-based reference).
+        ``"native"`` requires a deterministic strategy and the vectorized
+        backend.
     sampling_fraction / truncation_fraction / pruning_fraction:
         Theorem 2 budget split, see :class:`ErrorBudget`.
     compensate_truncation:
@@ -175,20 +169,9 @@ class ProbeSimConfig:
         randomized continuation when its frontier out-degree sum exceeds
         ``c0 * weight * n``.
     seed:
-        Seed for all randomness (int, Generator, or None).
-    query_seeded:
-        When True, every single-source computation draws from a fresh RNG
-        stream derived from ``(seed, query)`` instead of advancing one
-        shared stream across calls.  A query's answer then depends only on
-        ``(config, graph, query)`` — not on which batch it arrived in or
-        what was asked before it — which is what lets a serving tier
-        coalesce concurrent requests into arbitrary batches while staying
-        bit-identical to sequential per-query calls
-        (:mod:`repro.server.coalesce`).  Requires an explicit integer
-        ``seed`` (there is no reproducible derivation from OS entropy or a
-        caller-owned generator).  Walks within one query remain draws from
-        a single stream, so Theorem 1's variance analysis is untouched;
-        only the stream's *origin* changes.
+        Seed for all randomness (int, Generator, or None).  An integer
+        seed (numpy integers included) keys the native engine's counter
+        RNG, which makes each native answer bit-reproducible per query.
     """
 
     c: float = 0.6
@@ -206,7 +189,6 @@ class ProbeSimConfig:
     max_walk_length: int | None = None
     hybrid_switch_constant: float = 0.5
     seed: object = None
-    query_seeded: bool = False
 
     def __post_init__(self) -> None:
         check_probability("c", self.c)
@@ -224,7 +206,7 @@ class ProbeSimConfig:
             raise ConfigurationError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.engine in ("batched", "native"):
+        if self.engine == "native":
             if self.strategy in ("randomized", "hybrid"):
                 raise ConfigurationError(
                     f"engine={self.engine!r} shares deterministic probes across "
@@ -243,12 +225,6 @@ class ProbeSimConfig:
         if self.hybrid_switch_constant <= 0:
             raise ConfigurationError(
                 f"hybrid_switch_constant must be positive, got {self.hybrid_switch_constant!r}"
-            )
-        if self.query_seeded and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                "query_seeded=True derives one RNG stream per (seed, query) "
-                "and therefore needs an explicit integer seed; got "
-                f"{self.seed!r}"
             )
         # Resolve the budget eagerly so invalid splits fail at construction.
         object.__setattr__(self, "_budget", self._solve_budget())
@@ -275,19 +251,16 @@ class ProbeSimConfig:
         return math.sqrt(self.c)
 
     def resolved_engine(self) -> str:
-        """The engine a query will actually run on
-        (``"loop"``/``"batched"``/``"native"``).
+        """The engine a query will actually run on (``"loop"``/``"native"``).
 
-        ``"auto"`` resolves to the batched trie-sharing engine exactly when
-        its results are interchangeable with the loop engine's: the
-        deterministic dedup strategy (``"batch"``) on the vectorized backend.
-        It never resolves to ``"native"`` — the native engine's counter RNG
-        is a different stream, so it must be opted into explicitly.
+        ``"auto"`` resolves to the native engine exactly when it can run the
+        configuration: the deterministic dedup strategy (``"batch"``) on the
+        vectorized backend.  Everything else runs on the loop engine.
         """
         if self.engine != "auto":
             return self.engine
         if self.strategy == "batch" and self.backend == "vectorized":
-            return "batched"
+            return "native"
         return "loop"
 
     def walk_count(self, num_nodes: int) -> int:

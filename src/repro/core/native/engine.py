@@ -25,7 +25,7 @@ from scipy import sparse
 from repro.core.walk_trie import TrieLevel, WalkTrie
 
 #: weights of the sparse-cost proxy (flops, per-entry passes) against the
-#: dense cost ``m * k_next``; tuned on the bench_batched_engine preset.
+#: dense cost ``m * k_next``; tuned on the bench_native_engine preset.
 SWITCH_FLOP_WEIGHT = 9
 SWITCH_PASS_WEIGHT = 10
 

@@ -1,6 +1,6 @@
 """Counter-based RNG for the native engine (splitmix64 streams).
 
-The loop/batched engines thread one ``numpy.random.Generator`` through a
+The loop engine threads one ``numpy.random.Generator`` through a
 whole walk batch, so a walk's randomness depends on every draw made before
 it — correct, but inherently sequential and batch-shaped.  The native
 engine instead derives every random draw from a *counter*: a 64-bit key

@@ -1,4 +1,4 @@
-"""Array-backed prefix trie of √c-walks (the batched engine's probe plan).
+"""Array-backed prefix trie of √c-walks (the native engine's probe plan).
 
 :class:`~repro.core.tree.ReachabilityTree` stores Algorithm 3's walk trie as
 linked Python objects — ideal for incremental insertion (the walk cache) but
@@ -12,10 +12,9 @@ padded walk arrays of :func:`~repro.core.walks.sample_walk_arrays`:
   arrays; level 2 parents all point at the root), and ``weights`` (how many
   sampled walks run through the prefix — Algorithm 3's multiplicity).
 - within a level, entries are sorted by ``(parent, node)``, so siblings are
-  contiguous and parents appear in column order — the batched engine
-  exploits this to merge child score columns into their parent with one
-  gather-assign for every parent's first child plus a short add loop over
-  the remaining siblings.
+  contiguous and parents appear in column order — the native engine's
+  level sweep (:func:`repro.core.native.probe_trie`) relies on this to
+  merge child score columns into their parent.
 
 Weight invariants (checked by the property suite): the root weight is the
 number of inserted walks ``R``; every level's weights sum to the number of

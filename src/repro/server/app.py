@@ -52,7 +52,7 @@ Response bodies are deterministic — query, method, walk count, and the
 score pairs, never wall-clock — so a response can be compared **byte for
 byte** against an oracle's answer for the same query.  The serving tests
 and :mod:`benchmarks.bench_http_serving` hold coalesced responses to
-exactly that standard (with ``query_seeded`` engine configs; see
+exactly that standard (native engines with an integer seed; see
 :mod:`repro.server.coalesce`).
 """
 

@@ -1,9 +1,9 @@
 """Micro-batching: coalesce concurrent single-query requests into batches.
 
-The engines behind the service answer a *batch* of queries far cheaper
-than the same queries one by one — the batched trie-sharing engine runs
-every query in a batch through shared level-synchronous sweeps, and the
-service deduplicates repeated hot keys within a batch.  Individual HTTP
+The service answers a *batch* of queries cheaper than the same queries
+one by one: it deduplicates repeated hot keys within a batch, and one
+dispatch carries the whole batch through the admission lane, the
+executor hop and (under the process pool) one IPC round trip.  Individual HTTP
 requests arrive one query at a time, so the front door re-creates the
 batch shape here: the first request for a bucket opens a collection
 window (``window`` seconds); every concurrent request that lands inside
@@ -18,14 +18,16 @@ incompatible request shapes.  Duplicate queries within a bucket share
 one slot — the dedup the service would do anyway happens before
 dispatch, and ``dedup_saved`` counts it.
 
-Correctness relies on a property of the engine, not of this module:
-with ``ProbeSimConfig.query_seeded`` every answer is a pure function of
-``(config, graph, query)``, so *any* grouping of requests into batches
+Correctness relies on a property of the engine, not of this module: the
+native engine's counter RNG keys every draw on ``(seed, query, walk,
+step)``, so with an integer seed every answer is a pure function of
+``(config, graph, query)`` and *any* grouping of requests into batches
 yields bit-identical per-query results (asserted end-to-end by the
-serving tests and the HTTP benchmark).  Without ``query_seeded`` the
-engine's shared RNG stream makes answers depend on batch composition —
-coalescing then still returns valid Theorem-2 estimates, just not
-bit-equal to a different grouping of the same queries.
+serving tests and the HTTP benchmark).  Engines that thread one shared
+RNG stream through their queries (the loop engine, the Monte Carlo and
+TSF baselines) make answers depend on batch composition — coalescing
+then still returns valid Theorem-2 estimates, just not bit-equal to a
+different grouping of the same queries.
 
 Batches additionally **adapt to load**: at most one dispatch per key is
 in flight at a time, and a bucket whose window closes while its key's

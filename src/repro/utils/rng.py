@@ -34,16 +34,3 @@ def spawn_generator(rng: np.random.Generator) -> np.random.Generator:
     seed = rng.integers(0, 2**63 - 1, dtype=np.int64)
     return np.random.default_rng(int(seed))
 
-
-def derive_stream(seed: int, key: int) -> np.random.Generator:
-    """A fresh generator derived deterministically from ``(seed, key)``.
-
-    Unlike :func:`spawn_generator` this consumes no parent state: equal
-    ``(seed, key)`` pairs always produce identical streams, regardless of
-    what was drawn before or between the calls.  Per-query-seeded engines
-    (``ProbeSimConfig.query_seeded``) use one stream per ``(seed, query)``
-    so a query's draws cannot depend on call order or batch grouping.
-    """
-    mask = (1 << 64) - 1  # SeedSequence entropy words must be non-negative
-    entropy = np.random.SeedSequence([seed & mask, key & mask])
-    return np.random.default_rng(entropy)

@@ -562,7 +562,7 @@ def run_workload(
         The workload to replay (from
         :func:`repro.workloads.generator.generate_workload`).
     methods:
-        Registry names to compare (e.g. ``("probesim-batched", "tsf")``).
+        Registry names to compare (e.g. ``("probesim-native", "tsf")``).
     configs:
         Optional per-method keyword configuration, ``{name: {key: value}}``.
     workers:

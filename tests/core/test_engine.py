@@ -48,11 +48,11 @@ class TestAccuracyGuarantee:
         """With identical seeds the walk sets coincide, and batch probing is a
         pure dedup of basic probing — estimates must match to fp error.
 
-        Pinned to ``engine="loop"``: only the per-prefix engine prunes each
-        probe individually, which is what makes dedup bit-compatible with
-        per-walk probing under Pruning rule 2.  (The batched trie-sharing
-        engine prunes merged columns — strictly less — and has its own
-        equivalence suite in tests/core/test_batch_engine.py.)"""
+        Pinned to ``engine="loop"``: only the per-prefix engine samples
+        through the shared generator and prunes each probe individually,
+        which is what makes dedup bit-compatible with per-walk probing under
+        Pruning rule 2.  (The native engine draws from its own counter RNG
+        and has its own oracle suite in tests/core/test_native_engine.py.)"""
         basic = ProbeSim(
             toy, c=TOY_DECAY, eps_a=0.1, strategy="basic", seed=123, num_walks=500
         ).single_source(0)
@@ -218,53 +218,12 @@ class TestDiagnostics:
         assert "ProbeSim" in repr(ProbeSim(toy, c=TOY_DECAY, eps_a=0.2))
 
 
-class TestQuerySeeded:
-    """query_seeded=True: answers are pure functions of (config, graph, query),
-    independent of call order and batch grouping — the contract the HTTP
-    coalescer (repro.server.coalesce) relies on for bit-exact micro-batching."""
-
-    @pytest.mark.parametrize("engine_kind", ["loop", "batched"])
-    def test_grouping_invariant(self, tiny_wiki, engine_kind):
-        kwargs = dict(
-            c=0.6, eps_a=0.15, delta=0.1, strategy="batch", engine=engine_kind,
-            seed=31, num_walks=200, query_seeded=True,
-        )
-        queries = [10, 50, 10, 3]
-        engine = ProbeSim(tiny_wiki, **kwargs)
-        singles = [engine.single_source(q).scores for q in queries]
-        # one batch, reversed order, and pairwise splits must all agree bitwise
-        for grouping in ([queries], [queries[::-1]], [queries[:2], queries[2:]]):
-            fresh = ProbeSim(tiny_wiki, **kwargs)
-            got = {}
-            for group in grouping:
-                for res in fresh.single_source_many(group):
-                    got[res.query] = res.scores
-            for q, expected in zip(queries, singles):
-                np.testing.assert_array_equal(got[q], expected)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_call_order_invariant_all_strategies(self, toy, strategy):
-        kwargs = dict(
-            c=TOY_DECAY, eps_a=0.2, strategy=strategy, seed=5, num_walks=80,
-            query_seeded=True,
-        )
-        forward = [ProbeSim(toy, **kwargs).single_source(q).scores for q in (0, 1, 2)]
-        engine = ProbeSim(toy, **kwargs)
-        backward = {q: engine.single_source(q).scores for q in (2, 1, 0)}
-        for q, expected in zip((0, 1, 2), forward):
-            np.testing.assert_array_equal(backward[q], expected)
-
-    def test_requires_integer_seed(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="query_seeded"):
-            ProbeSimConfig(query_seeded=True)
-        with pytest.raises(ConfigurationError, match="query_seeded"):
-            ProbeSimConfig(query_seeded=True, seed=np.random.default_rng(3))
+class TestSeededStreams:
+    """The loop engine threads one seeded generator through its queries."""
 
     def test_default_stream_still_sequential(self, toy):
-        """Off by default: the shared-stream behaviour (answers depend on the
-        draw history) is untouched, so golden results elsewhere stay valid."""
+        """Answers depend on the draw history: a repeated query draws fresh
+        walks, while a fresh engine with the same seed replays the first."""
         a = ProbeSim(toy, c=TOY_DECAY, eps_a=0.2, seed=11, num_walks=80)
         first = a.single_source(0).scores
         again = a.single_source(0).scores  # stream advanced: walks differ

@@ -17,8 +17,9 @@ Four tiers of guarantees are pinned here:
    representable, so native scores are bit-for-bit equal to the hash-map
    oracle replaying the same walk set; on general graphs they agree to
    float round-off.
-4. **Surface** — config validation, ``auto`` never resolving to native,
-   capabilities/labels, registry construction, stats, and sync.
+4. **Surface** — config validation, ``auto`` resolving to native for the
+   ``batch`` strategy, capabilities/labels, registry construction, stats,
+   and sync.
 """
 
 import numpy as np
@@ -118,6 +119,23 @@ class TestBitReproducibility:
         for one, many in zip(singles, pair_a + pair_b):
             np.testing.assert_array_equal(one, many.scores)
 
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32, np.uint16])
+    def test_numpy_integer_seed_equals_int_seed(self, tiny_wiki, np_int):
+        """A numpy-integer seed keys the same counter streams as the equal
+        int, so it is just as call-order independent."""
+        by_int = native_engine(tiny_wiki, eps_a=0.15, seed=7).single_source(5)
+        engine = native_engine(tiny_wiki, eps_a=0.15, seed=np_int(7))
+        engine.single_source(3)
+        after_other = engine.single_source(5)
+        fresh = native_engine(tiny_wiki, eps_a=0.15, seed=np_int(7)).single_source(5)
+        assert after_other.scores.tobytes() == by_int.scores.tobytes()
+        assert fresh.scores.tobytes() == by_int.scores.tobytes()
+
+    def test_numpy_integer_query_is_accepted(self, tiny_wiki):
+        a = native_engine(tiny_wiki, eps_a=0.15, seed=7).single_source(np.int64(5))
+        b = native_engine(tiny_wiki, eps_a=0.15, seed=7).single_source(5)
+        np.testing.assert_array_equal(a.scores, b.scores)
+
     def test_seeds_and_queries_produce_distinct_streams(self, tiny_wiki):
         a = native_engine(tiny_wiki, eps_a=0.15, seed=1).single_source(11)
         b = native_engine(tiny_wiki, eps_a=0.15, seed=2).single_source(11)
@@ -205,13 +223,37 @@ class TestOracleAgreement:
         assert result.score(43) == 1.0
         assert np.all(np.delete(result.scores, 43) == 0.0)
 
+    def test_skipping_rule2_stays_within_its_budget(self, tiny_wiki):
+        """The native sweep never applies Pruning rule 2 (the level sweep
+        has no per-probe work for it to save), so against the loop engine's
+        pruned per-prefix probing of the *same* walks it only ever keeps
+        more mass, and at most the rule 2 error budget more."""
+        engine = native_engine(tiny_wiki, c=0.6, eps_a=0.1, seed=23, num_walks=500)
+        cfg = engine.config
+        scores = engine.single_source(11).scores
+        walks = replay_walks(tiny_wiki, 11, 23, 500, cfg.sqrt_c, cfg.walk_truncation())
+        loop = ProbeSim(tiny_wiki, config=cfg, engine="loop")
+        pruned = loop.estimate_from_tree(ReachabilityTree.from_walks(walks))
+        pruned[11] = 1.0
+        budget = cfg.budget
+        bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
+        diff = scores - pruned
+        assert diff.min() >= -1e-12
+        assert diff.max() <= bound + 1e-12
+        assert diff.max() > 0.0  # rule 2 did prune something the sweep kept
+
 
 class TestEngineSurface:
     """Tier 4: config, routing, capabilities, registry, stats, sync."""
 
-    def test_auto_never_resolves_to_native(self):
-        for strategy in ("basic", "batch", "randomized", "hybrid"):
-            assert ProbeSimConfig(strategy=strategy).resolved_engine() != "native"
+    def test_auto_resolves_native_only_for_batch_strategy(self):
+        assert ProbeSimConfig(strategy="batch").resolved_engine() == "native"
+        for strategy in ("basic", "randomized", "hybrid"):
+            assert ProbeSimConfig(strategy=strategy).resolved_engine() == "loop"
+        python = ProbeSimConfig(strategy="batch", backend="python")
+        assert python.resolved_engine() == "loop"
+        pinned = ProbeSimConfig(strategy="batch", engine="loop")
+        assert pinned.resolved_engine() == "loop"
         assert ProbeSimConfig(strategy="batch", engine="native").resolved_engine() == "native"
 
     def test_native_rejects_randomized_strategies_and_python_backend(self):
@@ -221,6 +263,8 @@ class TestEngineSurface:
             ProbeSimConfig(strategy="randomized", engine="native")
         with pytest.raises(ConfigurationError, match="inherently vectorized"):
             ProbeSimConfig(strategy="batch", backend="python", engine="native")
+        with pytest.raises(ConfigurationError, match="engine must be one of"):
+            ProbeSimConfig(engine="turbo")
 
     def test_label_and_capabilities(self, toy):
         engine = native_engine(toy, c=0.25, eps_a=0.2, seed=1)
@@ -229,7 +273,12 @@ class TestEngineSurface:
         assert caps.native and caps.vectorized and caps.parallel_safe
         assert caps.as_row()["native"] is True
         assert engine.single_source(0).method == "probesim-native"
-        assert not ProbeSim(toy, strategy="batch", seed=1).capabilities().native
+        auto = ProbeSim(toy, strategy="batch", seed=1)
+        assert auto.capabilities().native and auto.capabilities().vectorized
+        assert auto.single_source(0).method == "probesim-batch"
+        loop = ProbeSim(toy, strategy="batch", engine="loop", seed=1)
+        assert not loop.capabilities().native
+        assert not loop.capabilities().vectorized
 
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)

@@ -1,8 +1,12 @@
-"""Unit tests for the reverse-reachability tree (Algorithm 3's trie)."""
+"""Unit tests for the reverse-reachability tree (Algorithm 3's trie) and
+its array-backed twin, the native engine's :class:`WalkTrie`."""
 
+import numpy as np
 import pytest
 
 from repro.core.tree import ReachabilityTree, TreeNode
+from repro.core.walk_trie import WalkTrie
+from repro.core.walks import sample_walk_batch
 
 
 class TestInsertion:
@@ -113,3 +117,23 @@ class TestInvariants:
     def test_repr(self):
         tree = ReachabilityTree.from_walks([[0, 1], [0, 2]])
         assert "walks=2" in repr(tree)
+
+
+class TestWalkTrie:
+    def test_multiplicities_match_reachability_tree(self, tiny_wiki_csr):
+        rng = np.random.default_rng(3)
+        walks = sample_walk_batch(tiny_wiki_csr, 5, 300, 0.7, rng, 7)
+        tree = ReachabilityTree.from_walks(walks)
+        trie = WalkTrie.from_walks(walks)
+        assert trie.num_walks == tree.num_walks == 300
+        assert trie.num_tree_nodes == tree.num_tree_nodes()
+        assert trie.max_depth == tree.max_depth()
+        tree_prefixes = {tuple(p): w for p, w in tree.iter_prefixes()}
+        trie_prefixes = {tuple(p): w for p, w in trie.iter_prefixes()}
+        assert trie_prefixes == tree_prefixes
+
+    def test_rejects_mixed_roots_and_empty_batches(self):
+        with pytest.raises(ValueError, match="share their start"):
+            WalkTrie.from_walks([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="at least one walk"):
+            WalkTrie.from_walks([])

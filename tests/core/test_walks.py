@@ -126,7 +126,7 @@ class TestSampleWalkBatch:
 
 class TestDeterminism:
     """One seeded Generator threads the whole batch: same seed, same walks —
-    the contract both execution engines build their equivalence on."""
+    the contract the loop engine's reproducibility builds on."""
 
     def test_arrays_and_lists_share_one_rng_stream(self, toy_csr):
         from repro.core.walks import sample_walk_arrays
@@ -144,20 +144,23 @@ class TestDeterminism:
             assert np.all(nodes[i, lengths[i]:] == -1)
 
     def test_same_seed_identical_walks_across_engines(self, tiny_wiki):
-        """Loop and batched engines consume the RNG identically, so a fixed
-        seed pins one walk multiset regardless of engine (the precondition
-        of the golden-equivalence suite)."""
+        """The loop engine's walk sampler and the padded-array sampler
+        consume the RNG identically, so a fixed seed pins one walk multiset
+        whether the walks land in a reachability tree or a WalkTrie."""
         from repro import ProbeSim
         from repro.core.engine import QueryStats
+        from repro.core.walk_trie import WalkTrie
+        from repro.core.walks import sample_walk_arrays
 
         loop = ProbeSim(tiny_wiki, strategy="batch", engine="loop",
                         eps_a=0.15, seed=77, num_walks=300)
-        batched = ProbeSim(tiny_wiki, strategy="batch", engine="batched",
-                           eps_a=0.15, seed=77, num_walks=300)
+        cfg = loop.config
         loop_walks = loop._sample_walks(9, QueryStats())
-        trie = batched._sample_trie(9, QueryStats())
-        from repro.core.walk_trie import WalkTrie
-
+        nodes, lengths = sample_walk_arrays(
+            loop.graph, 9, 300, cfg.sqrt_c, np.random.default_rng(77),
+            max_length=cfg.walk_truncation(),
+        )
+        trie = WalkTrie.from_walk_arrays(nodes, lengths)
         assert dict(
             (tuple(p), w) for p, w in WalkTrie.from_walks(loop_walks).iter_prefixes()
         ) == dict((tuple(p), w) for p, w in trie.iter_prefixes())

@@ -88,9 +88,9 @@ class TestGuaranteeRate:
 class TestEngineGuaranteeRegression:
     """Seeded regression: the Chernoff-derived walk budget keeps the
     empirical max error within eps_a at the configured delta — on the loop
-    engine, the batched trie-sharing engine, *and* the native kernel
-    engine (whose counter RNG draws an entirely different walk set, so it
-    needs its own statistical verification).  Seeds are fixed, so any
+    engine *and* the native kernel engine (whose counter RNG draws an
+    entirely different walk set, so it needs its own statistical
+    verification).  Seeds are fixed, so any
     future change to walk sampling, trie sharing or pruning that breaks
     the (eps_a, delta) guarantee fails this test deterministically."""
 
@@ -98,7 +98,7 @@ class TestEngineGuaranteeRegression:
     DELTA = 0.2
     SEEDS = range(30)
 
-    @pytest.mark.parametrize("engine", ["loop", "batched", "native"])
+    @pytest.mark.parametrize("engine", ["loop", "native"])
     def test_chernoff_budget_holds_on_toy(self, toy, toy_truth, engine):
         query = 0
         truth = toy_truth.single_source(query)
@@ -114,16 +114,16 @@ class TestEngineGuaranteeRegression:
 
     def test_engines_share_one_walk_budget(self, toy):
         """Both engines size the batch from the same Theorem 1 bound —
-        batching changes execution, never the statistical contract."""
+        the engine changes execution, never the statistical contract."""
         loop = ProbeSim(toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
                         strategy="batch", engine="loop", seed=0)
-        batched = ProbeSim(toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
-                           strategy="batch", engine="batched", seed=0)
+        native = ProbeSim(toy, c=TOY_DECAY, eps_a=self.EPS_A, delta=self.DELTA,
+                          strategy="batch", engine="native", seed=0)
         assert (
-            loop.single_source(0).num_walks == batched.single_source(0).num_walks
+            loop.single_source(0).num_walks == native.single_source(0).num_walks
         )
 
-    @pytest.mark.parametrize("engine", ["loop", "batched", "native"])
+    @pytest.mark.parametrize("engine", ["loop", "native"])
     def test_batched_queries_keep_the_guarantee(self, toy, toy_truth, engine):
         """single_source_many answers carry the same per-query guarantee."""
         queries = [0, 2, 5]

@@ -16,7 +16,7 @@ from repro.parallel.pool import ParallelSimRankService
 
 from test_shm import segment_names
 
-METHOD = "probesim-batched"
+METHOD = "probesim-native"
 CONFIG = {METHOD: {"eps_a": 0.3, "num_walks": 40, "seed": 11}}
 QUERIES = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
 

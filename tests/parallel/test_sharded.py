@@ -20,7 +20,7 @@ from repro.parallel.pool import ParallelSimRankService
 from repro.parallel.sharded import ShardedSimRankService
 from repro.workloads import generate_workload, run_workload
 
-METHOD = "probesim-batched"
+METHOD = "probesim-native"
 CONFIG = {METHOD: {"eps_a": 0.3, "num_walks": 40, "seed": 11}}
 QUERIES = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
 

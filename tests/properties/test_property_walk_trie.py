@@ -1,23 +1,35 @@
-"""Property-based tests for walk/probe invariants of the batched engine.
+"""Property-based tests for the walk trie and the native level sweep.
 
 Hypothesis drives random graphs and walk batches through the prefix trie
-and the level-synchronous kernel, pinning the invariants the batched engine
+and the native engine's level-synchronous sweep
+(:func:`repro.core.native.probe_trie`), pinning the invariants the sweep
 relies on: trie multiplicities partition the walk budget, first-meeting
 mass is a (sub-)probability, truncation is monotone in its tolerance, and
-the kernel agrees with per-prefix probing on every generated instance.
+the sweep agrees with per-prefix probing on every generated instance.  The
+sweep runs on the numpy fallback, and on the numba kernels too when numba
+is installed.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_engine import probe_trie_shared
+from repro.core.native import HAVE_NUMBA, fallback, kernels, make_context, probe_trie
 from repro.core.probe import probe_deterministic_vectorized
 from repro.core.walk_trie import WalkTrie
 from repro.core.walks import sample_walk_batch, truncation_length
 from repro.graph import CSRGraph, DiGraph
 
 SQRT_C = 0.7
+
+#: sweep backends under test: the fallback always, the kernels once compiled
+IMPLS = [fallback] + ([kernels] if HAVE_NUMBA else [])
+
+
+def sweep(csr, trie, impl):
+    """The native sweep's unnormalized accumulator for one trie."""
+    return probe_trie(make_context(csr, SQRT_C), trie, impl)
 
 
 @st.composite
@@ -79,22 +91,23 @@ class TestTrieInvariants:
             assert weight == matching
 
 
+@pytest.mark.parametrize("impl", IMPLS, ids=lambda impl: impl.__name__.rsplit(".", 1)[-1])
 class TestProbeInvariants:
-    @given(graph_walks())
+    @given(data=graph_walks())
     @settings(max_examples=100, deadline=None)
-    def test_kernel_matches_per_prefix_probing(self, data):
+    def test_kernel_matches_per_prefix_probing(self, impl, data):
         """The level-synchronous sweep equals weighted per-prefix probes."""
         csr, _, walks = data
         trie = WalkTrie.from_walks(walks)
-        shared = probe_trie_shared(csr, trie, SQRT_C)
+        shared = sweep(csr, trie, impl)
         expected = np.zeros(csr.num_nodes)
         for prefix, weight in trie.iter_prefixes():
             expected += weight * probe_deterministic_vectorized(csr, prefix, SQRT_C)
         np.testing.assert_allclose(shared, expected, rtol=0, atol=1e-9)
 
-    @given(graph_walks())
+    @given(data=graph_walks())
     @settings(max_examples=100, deadline=None)
-    def test_first_meeting_mass_is_a_subprobability(self, data):
+    def test_first_meeting_mass_is_a_subprobability(self, impl, data):
         """First meetings at different steps of one walk are disjoint events,
         so a single walk's accumulated score lies in [0, 1] per node — and a
         batch average therefore does too."""
@@ -103,26 +116,32 @@ class TestProbeInvariants:
             if len(walk) < 2:
                 continue
             trie = WalkTrie.from_walks([walk])
-            acc = probe_trie_shared(csr, trie, SQRT_C)
+            acc = sweep(csr, trie, impl)
             assert acc.min() >= 0.0
             assert acc.max() <= 1.0 + 1e-12
         trie = WalkTrie.from_walks(walks)
-        estimates = probe_trie_shared(csr, trie, SQRT_C) / len(walks)
+        estimates = sweep(csr, trie, impl) / len(walks)
         assert estimates.min() >= 0.0
         assert estimates.max() <= 1.0 + 1e-12
 
-    @given(graph_walks())
+    @given(data=graph_walks())
     @settings(max_examples=60, deadline=None)
-    def test_per_level_scores_bounded_by_survival(self, data):
+    def test_per_level_scores_bounded_by_survival(self, impl, data):
         """Each distinct prefix's probe is a probability vector bounded by
-        the survival probability sqrt(c)^(depth-1) of the probing walk."""
+        the survival probability sqrt(c)^(depth-1) of the probing walk:
+        sweeping a single-walk trie cut at ``depth`` yields exactly the
+        sum of its prefixes' probes, each bounded that way."""
         csr, _, walks = data
-        trie = WalkTrie.from_walks(walks)
-        for prefix, _ in trie.iter_prefixes():
-            scores = probe_deterministic_vectorized(csr, prefix, SQRT_C)
-            assert scores.min() >= 0.0
-            assert scores.max() <= SQRT_C ** (len(prefix) - 1) + 1e-12
+        walk = max(walks, key=len)
+        for depth in range(2, len(walk) + 1):
+            alone = sweep(csr, WalkTrie.from_walks([walk[:depth]]), impl)
+            shorter = sweep(csr, WalkTrie.from_walks([walk[: depth - 1]]), impl)
+            scores = alone - shorter  # the depth-long prefix's own probe
+            assert scores.min() >= -1e-12
+            assert scores.max() <= SQRT_C ** (depth - 1) + 1e-12
 
+
+class TestTruncationInvariants:
     @given(
         st.floats(min_value=1e-6, max_value=0.5),
         st.floats(min_value=1e-6, max_value=0.5),

@@ -2,7 +2,7 @@
 
 The cheap paths (routing, validation, admission, deadlines) run against
 the recording stub service from ``conftest``; the bit-exactness contract
-runs against real engines with ``query_seeded`` configs.
+runs against the native engine with an integer seed.
 """
 
 from __future__ import annotations
@@ -490,8 +490,7 @@ class TestLifecycle:
         assert service.closed == 1
 
 
-CFG = {"eps_a": 0.2, "delta": 0.1, "num_walks": 80, "seed": 7,
-       "query_seeded": True}
+CFG = {"eps_a": 0.2, "delta": 0.1, "num_walks": 80, "seed": 7}
 
 
 class TestBitExactness:
@@ -499,8 +498,8 @@ class TestBitExactness:
 
     def test_coalesced_responses_match_sequential_oracle(self, harness, tiny_wiki):
         service = SimRankService(
-            tiny_wiki, methods=["probesim-batched"],
-            configs={"probesim-batched": CFG},
+            tiny_wiki, methods=["probesim-native"],
+            configs={"probesim-native": CFG},
         )
         # duplicates included: dedup must not perturb anyone's answer
         queries = [3, 11, 3, 25, 40, 57, 11, 64, 81, 99]
@@ -529,8 +528,8 @@ class TestBitExactness:
         service.close()
 
         oracle = SimRankService(
-            tiny_wiki, methods=["probesim-batched"],
-            configs={"probesim-batched": CFG},
+            tiny_wiki, methods=["probesim-native"],
+            configs={"probesim-native": CFG},
         )
         single, topk = responses[:len(queries)], responses[len(queries):]
         for query, response in zip(queries, single):
@@ -550,8 +549,8 @@ class TestShardedService:
         from repro.parallel.sharded import ShardedSimRankService
 
         service = ShardedSimRankService(
-            tiny_wiki.copy(), methods=("probesim-batched",),
-            configs={"probesim-batched": {
+            tiny_wiki.copy(), methods=("probesim-native",),
+            configs={"probesim-native": {
                 "eps_a": 0.3, "num_walks": 40, "seed": 11,
             }},
             shards=2, workers=1, executor="sequential", cache_size=8,

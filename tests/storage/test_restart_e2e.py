@@ -26,7 +26,7 @@ from repro.parallel.sharded import ShardedSimRankService, write_shard_snapshots
 from repro.storage import PersistentGraphStore, recover
 from repro.storage.store import wal_path
 
-METHOD = "probesim-batched"
+METHOD = "probesim-native"
 CONFIG = {METHOD: {"eps_a": 0.3, "num_walks": 40, "seed": 11}}
 QUERIES = [3, 1, 4, 15, 92, 65]
 

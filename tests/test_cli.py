@@ -66,7 +66,7 @@ class TestWorkloadCommand:
         out = tmp_path / "report.json"
         code = main([
             "workload", toy_path,
-            "--methods", "probesim-batched,tsf",
+            "--methods", "probesim-native,tsf",
             "--ops", "60", "--read-fraction", "0.8", "--workers", "2",
             "--seed", "5", "--eps-a", "0.3", "--rg", "10", "--rq", "2",
             "--json", str(out),
@@ -78,7 +78,7 @@ class TestWorkloadCommand:
         import json
 
         payload = json.loads(out.read_text())
-        assert {r["method"] for r in payload["reports"]} == {"probesim-batched", "tsf"}
+        assert {r["method"] for r in payload["reports"]} == {"probesim-native", "tsf"}
         for report in payload["reports"]:
             assert report["latency"]["p50_s"] >= 0
             assert report["digest"]
@@ -218,7 +218,7 @@ class TestWorkloadSnapshotReplay:
         capsys.readouterr()
         code = main([
             "workload", "--snapshot", str(snap),
-            "--methods", "probesim-batched", "--ops", "20",
+            "--methods", "probesim-native", "--ops", "20",
             "--read-fraction", "1", "--executor", "sequential",
             "--eps-a", "0.3", "--seed", "5",
         ])

@@ -24,7 +24,7 @@ class TestDirections:
 
     def test_latency_metrics_are_lower_better(self):
         assert metric_direction("p95_ms:thread:w1") == "lower"
-        assert metric_direction("latency:single-batched_s:n10000") == "lower"
+        assert metric_direction("latency:single-native_s:n10000-m30000") == "lower"
 
     def test_unknown_prefix_is_rejected(self):
         with pytest.raises(SystemExit):

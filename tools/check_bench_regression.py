@@ -2,7 +2,7 @@
 """Fail CI when a benchmark's gate metrics regress past a threshold.
 
 Each perf bench (``benchmarks/bench_parallel_service.py``,
-``benchmarks/bench_batched_engine.py``) writes a JSON report with a flat
+``benchmarks/bench_native_engine.py``) writes a JSON report with a flat
 ``gate`` block of named scalar metrics.  This tool compares a fresh report
 against the committed baseline under ``benchmarks/baselines/`` and exits
 non-zero when any metric regresses by more than ``--threshold`` (default
