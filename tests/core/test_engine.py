@@ -218,6 +218,48 @@ class TestDiagnostics:
         assert "ProbeSim" in repr(ProbeSim(toy, c=TOY_DECAY, eps_a=0.2))
 
 
+#: strategies whose default engine keys every draw by (seed, query)
+QUERY_SEEDED = tuple(
+    s for s in STRATEGIES if ProbeSimConfig(strategy=s).resolved_engine() == "native"
+)
+
+
+class TestQuerySeeded:
+    """With an integer seed, the batch strategy's default (native) engine
+    answers as a pure function of (config, graph, query), independent of
+    call order and batch grouping — the contract the HTTP coalescer
+    (repro.server.coalesce) relies on for bit-exact micro-batching."""
+
+    # "batched": the vectorized engine ``auto`` picks for strategy="batch"
+    @pytest.mark.parametrize("engine_kind", [pytest.param("auto", id="batched")])
+    def test_grouping_invariant(self, tiny_wiki, engine_kind):
+        kwargs = dict(
+            c=0.6, eps_a=0.15, delta=0.1, strategy="batch", engine=engine_kind,
+            seed=31, num_walks=200,
+        )
+        queries = [10, 50, 10, 3]
+        engine = ProbeSim(tiny_wiki, **kwargs)
+        singles = [engine.single_source(q).scores for q in queries]
+        # one batch, reversed order, and pairwise splits must all agree bitwise
+        for grouping in ([queries], [queries[::-1]], [queries[:2], queries[2:]]):
+            fresh = ProbeSim(tiny_wiki, **kwargs)
+            got = {}
+            for group in grouping:
+                for res in fresh.single_source_many(group):
+                    got[res.query] = res.scores
+            for q, expected in zip(queries, singles):
+                np.testing.assert_array_equal(got[q], expected)
+
+    @pytest.mark.parametrize("strategy", QUERY_SEEDED)
+    def test_call_order_invariant_all_strategies(self, toy, strategy):
+        kwargs = dict(c=TOY_DECAY, eps_a=0.2, strategy=strategy, seed=5, num_walks=80)
+        forward = [ProbeSim(toy, **kwargs).single_source(q).scores for q in (0, 1, 2)]
+        engine = ProbeSim(toy, **kwargs)
+        backward = {q: engine.single_source(q).scores for q in (2, 1, 0)}
+        for q, expected in zip((0, 1, 2), forward):
+            np.testing.assert_array_equal(backward[q], expected)
+
+
 class TestSeededStreams:
     """The loop engine threads one seeded generator through its queries."""
 

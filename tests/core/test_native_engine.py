@@ -223,25 +223,6 @@ class TestOracleAgreement:
         assert result.score(43) == 1.0
         assert np.all(np.delete(result.scores, 43) == 0.0)
 
-    def test_skipping_rule2_stays_within_its_budget(self, tiny_wiki):
-        """The native sweep never applies Pruning rule 2 (the level sweep
-        has no per-probe work for it to save), so against the loop engine's
-        pruned per-prefix probing of the *same* walks it only ever keeps
-        more mass, and at most the rule 2 error budget more."""
-        engine = native_engine(tiny_wiki, c=0.6, eps_a=0.1, seed=23, num_walks=500)
-        cfg = engine.config
-        scores = engine.single_source(11).scores
-        walks = replay_walks(tiny_wiki, 11, 23, 500, cfg.sqrt_c, cfg.walk_truncation())
-        loop = ProbeSim(tiny_wiki, config=cfg, engine="loop")
-        pruned = loop.estimate_from_tree(ReachabilityTree.from_walks(walks))
-        pruned[11] = 1.0
-        budget = cfg.budget
-        bound = (1.0 + budget.eps) / (1.0 - budget.sqrt_c) * budget.eps_p
-        diff = scores - pruned
-        assert diff.min() >= -1e-12
-        assert diff.max() <= bound + 1e-12
-        assert diff.max() > 0.0  # rule 2 did prune something the sweep kept
-
 
 class TestEngineSurface:
     """Tier 4: config, routing, capabilities, registry, stats, sync."""
@@ -273,12 +254,6 @@ class TestEngineSurface:
         assert caps.native and caps.vectorized and caps.parallel_safe
         assert caps.as_row()["native"] is True
         assert engine.single_source(0).method == "probesim-native"
-        auto = ProbeSim(toy, strategy="batch", seed=1)
-        assert auto.capabilities().native and auto.capabilities().vectorized
-        assert auto.single_source(0).method == "probesim-batch"
-        loop = ProbeSim(toy, strategy="batch", engine="loop", seed=1)
-        assert not loop.capabilities().native
-        assert not loop.capabilities().vectorized
 
     def test_registry_constructs_the_native_engine(self, toy):
         est = create("probesim-native", toy, c=0.25, eps_a=0.2, seed=3)
