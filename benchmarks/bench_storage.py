@@ -10,6 +10,9 @@ The storage tier's performance claims, measured on one synthetic graph:
   header parse — O(1) in the graph size — where the cold path re-reads the
   edge list and rebuilds the CSR every restart.  The speedup is the whole
   reason the snapshot format exists;
+- **conversions**: ``CSRGraph.from_digraph`` (``csr_build``) and its
+  inverse ``to_digraph`` (``thaw``) on the same graph, gated as stages of
+  their own because the durable update path pays them per sync;
 - **recovery**: replaying a snapshot + WAL tail after a crash, digest-
   checked against the sequentially applied oracle.
 
@@ -72,6 +75,15 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
+def median_timed(fn, repeats: int = ATTACH_REPEATS):
+    """``(last result, median seconds)`` of ``repeats`` calls of ``fn``."""
+    samples = []
+    for _ in range(repeats):
+        result, seconds = timed(fn)
+        samples.append(seconds)
+    return result, statistics.median(samples)
+
+
 def bench_ingest(source: Path, out: Path) -> dict:
     """Out-of-core ingest, digest-checked against the in-memory path."""
     stats, seconds = timed(lambda: ingest_edge_list(source, out))
@@ -125,6 +137,32 @@ def bench_warm_attach(snapshot: Path) -> dict:
     }
 
 
+def bench_conversions(source: Path) -> list[dict]:
+    """The two snapshot conversions on their own, each the median of repeats.
+
+    ``csr_build`` is ``CSRGraph.from_digraph`` (every rebuild sync, store
+    create and checkpoint pays it) and ``thaw`` is ``to_digraph`` (every
+    store open and delta-mode mirror pays it); gating them apart lets a
+    regression name its layer.  The thaw must round-trip byte for byte.
+    """
+    graph = read_edge_list(source)
+    csr, build_s = median_timed(lambda: CSRGraph.from_digraph(graph))
+    thawed, thaw_s = median_timed(csr.to_digraph)
+    assert CSRGraph.from_digraph(thawed).digest() == csr.digest(), (
+        "to_digraph is not the exact inverse of from_digraph"
+    )
+    return [
+        {
+            "stage": stage,
+            "seconds": round(seconds, 6),
+            "edges_per_s": round(csr.num_edges / seconds),
+            "spill_mb": 0.0,
+            "digest": csr.digest()[:16],
+        }
+        for stage, seconds in (("csr_build", build_s), ("thaw", thaw_s))
+    ]
+
+
 def bench_recovery(workdir: Path, source: Path) -> dict:
     """Crash recovery: snapshot + WAL tail replay, oracle-checked."""
     base = CSRGraph.from_digraph(read_edge_list(source)).to_digraph()
@@ -169,22 +207,27 @@ def run_bench(smoke: bool) -> dict:
             bench_ingest(source, snapshot),
             bench_cold_start(source),
             bench_warm_attach(snapshot),
+            *bench_conversions(source),
             bench_recovery(workdir, source),
         ]
     n, m = PRESETS[preset]
     emit_table(
         "storage", rows,
-        (f"Persistent tier: ingest / cold start / warm attach / recovery "
+        (f"Persistent tier: ingest / cold start / warm attach / CSR build / "
+         f"thaw / recovery "
          f"on {n} nodes, {m} edges ({preset} preset, "
          f"cores={multiprocessing.cpu_count()})"),
     )
     by_stage = {row["stage"]: row for row in rows}
     assert by_stage["ingest"]["digest"] == by_stage["cold_start"]["digest"]
     assert by_stage["ingest"]["digest"] == by_stage["warm_attach"]["digest"]
+    assert by_stage["ingest"]["digest"] == by_stage["csr_build"]["digest"]
 
     gate = {
         f"seconds:{stage}": by_stage[stage]["seconds"]
-        for stage in ("ingest", "cold_start", "warm_attach", "recover")
+        for stage in (
+            "ingest", "cold_start", "warm_attach", "csr_build", "thaw", "recover",
+        )
     }
     derived = {
         "speedup:attach-vs-cold": round(

@@ -27,6 +27,7 @@ The snapshot also precomputes the two sparse operators used throughout:
 from __future__ import annotations
 
 from hashlib import blake2b
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -65,6 +66,26 @@ def payload_layout(num_nodes: int, num_edges: int):
         layout.append((field, np.dtype(dtype), offset, count))
         offset += int(np.dtype(dtype).itemsize) * count
     return layout, max(offset, 1)
+
+
+def _pack_rows(lists: list[list[int]], num_edges: int):
+    """``(indptr, indices)`` of adjacency ``lists``, rows in list order."""
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, lists), dtype=np.int64, count=len(lists)),
+        out=indptr[1:],
+    )
+    indices = np.fromiter(
+        chain.from_iterable(lists), dtype=np.int32, count=num_edges
+    )
+    return indptr, indices
+
+
+def _unpack_rows(indptr: np.ndarray, indices: np.ndarray, ids: np.ndarray):
+    """Adjacency lists of one CSR direction, drawing ints from ``ids``."""
+    flat = ids[indices].tolist()
+    bounds = indptr.tolist()
+    return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 class CSRGraph:
@@ -108,29 +129,14 @@ class CSRGraph:
 
     @classmethod
     def from_digraph(cls, graph: DiGraph) -> "CSRGraph":
-        """Snapshot a mutable :class:`DiGraph` into CSR arrays."""
-        n = graph.num_nodes
-        m = graph.num_edges
+        """Snapshot a mutable :class:`DiGraph` into CSR arrays.
 
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        in_indptr = np.zeros(n + 1, dtype=np.int64)
-        out_indices = np.empty(m, dtype=np.int32)
-        in_indices = np.empty(m, dtype=np.int32)
-
-        pos = 0
-        for node in range(n):
-            targets = graph.out_neighbors(node)
-            out_indices[pos : pos + len(targets)] = targets
-            pos += len(targets)
-            out_indptr[node + 1] = pos
-        pos = 0
-        for node in range(n):
-            sources = graph.in_neighbors(node)
-            in_indices[pos : pos + len(sources)] = sources
-            pos += len(sources)
-            in_indptr[node + 1] = pos
-
-        return cls(n, out_indptr, out_indices, in_indptr, in_indices)
+        Each row keeps its adjacency list's order, in both directions.
+        """
+        out_lists, in_lists = graph._adjacency()
+        out_indptr, out_indices = _pack_rows(out_lists, graph.num_edges)
+        in_indptr, in_indices = _pack_rows(in_lists, graph.num_edges)
+        return cls(graph.num_nodes, out_indptr, out_indices, in_indptr, in_indices)
 
     @classmethod
     def from_edges(cls, edges, num_nodes: int | None = None) -> "CSRGraph":
@@ -138,12 +144,18 @@ class CSRGraph:
         return cls.from_digraph(DiGraph.from_edges(edges, num_nodes=num_nodes))
 
     def to_digraph(self) -> DiGraph:
-        """Thaw the snapshot back into a mutable :class:`DiGraph`."""
-        graph = DiGraph(self.num_nodes)
-        for source in range(self.num_nodes):
-            for target in self.out_neighbors(source):
-                graph.add_edge(source, int(target))
-        return graph
+        """Thaw the snapshot back into a mutable :class:`DiGraph`.
+
+        The exact inverse of :meth:`from_digraph`: out- and in-lists come
+        from their own CSR rows, so ``from_digraph(c.to_digraph())`` is
+        byte-identical to ``c``.
+        """
+        # the lists index one shared int object per node id, not one per edge
+        ids = np.arange(self.num_nodes).astype(object)
+        return DiGraph._from_adjacency(
+            _unpack_rows(self.out_indptr, self.out_indices, ids),
+            _unpack_rows(self.in_indptr, self.in_indices, ids),
+        )
 
     # ------------------------------------------------------------------ #
     # adjacency queries

@@ -70,23 +70,38 @@ class DiGraph:
             graph.add_edge(source, target)
         return graph
 
+    @classmethod
+    def _from_adjacency(
+        cls, out_lists: list[list[int]], in_lists: list[list[int]]
+    ) -> "DiGraph":
+        """Adopt ready-made adjacency lists as a graph's own (no copy).
+
+        The caller guarantees the lists describe one simple graph:
+        ``in_lists[t]`` holds ``s`` exactly when ``out_lists[s]`` holds
+        ``t``, with no duplicates or self-loops.  Both keep their order.
+        """
+        graph = cls.__new__(cls)
+        graph._out = out_lists
+        graph._in = in_lists
+        graph._out_sets = [set(adj) for adj in out_lists]
+        graph._num_edges = sum(map(len, out_lists))
+        return graph
+
+    def _adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The live ``(out_lists, in_lists)`` pair — read it, do not mutate."""
+        return self._out, self._in
+
     def copy(self) -> "DiGraph":
         """Deep copy of the graph (adjacency is copied, not shared)."""
-        clone = DiGraph(self.num_nodes)
-        clone._out = [list(adj) for adj in self._out]
-        clone._in = [list(adj) for adj in self._in]
-        clone._out_sets = [set(s) for s in self._out_sets]
-        clone._num_edges = self._num_edges
-        return clone
+        return DiGraph._from_adjacency(
+            [list(adj) for adj in self._out], [list(adj) for adj in self._in]
+        )
 
     def reversed(self) -> "DiGraph":
         """A new graph with every edge direction flipped."""
-        clone = DiGraph(self.num_nodes)
-        clone._out = [list(adj) for adj in self._in]
-        clone._in = [list(adj) for adj in self._out]
-        clone._out_sets = [set(adj) for adj in self._in]
-        clone._num_edges = self._num_edges
-        return clone
+        return DiGraph._from_adjacency(
+            [list(adj) for adj in self._in], [list(adj) for adj in self._out]
+        )
 
     def edge_subgraph(self, keep) -> "DiGraph":
         """A same-node-set copy containing only edges where ``keep(s, t)``.
@@ -99,16 +114,10 @@ class DiGraph:
         predicate yields a graph whose CSR snapshot is byte-identical to
         the parent's.
         """
-        clone = DiGraph(self.num_nodes)
-        clone._out = [
-            [t for t in adj if keep(s, t)] for s, adj in enumerate(self._out)
-        ]
-        clone._in = [
-            [s for s in adj if keep(s, t)] for t, adj in enumerate(self._in)
-        ]
-        clone._out_sets = [set(adj) for adj in clone._out]
-        clone._num_edges = sum(len(adj) for adj in clone._out)
-        return clone
+        return DiGraph._from_adjacency(
+            [[t for t in adj if keep(s, t)] for s, adj in enumerate(self._out)],
+            [[s for s in adj if keep(s, t)] for t, adj in enumerate(self._in)],
+        )
 
     def add_node(self) -> int:
         """Append a fresh isolated node and return its id."""

@@ -170,8 +170,9 @@ class _WorkerCore:
         *mutable mirror* of the snapshot (``CSRGraph.to_digraph``) instead
         of the frozen arrays: incremental estimators read the live graph
         when notified, so the mirror is what :meth:`apply_delta` mutates in
-        place.  The mirror's adjacency is in canonical CSR order, which is
-        what makes replicas agree bit-for-bit across executors.
+        place.  The thaw keeps every CSR row's order, so the mirror's
+        adjacency lists equal the coordinator graph's, which is what makes
+        replicas agree bit-for-bit across executors.
         """
         self.mounts = list(mounts)
         self.delta_mode = bool(delta_mode)

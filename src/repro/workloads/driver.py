@@ -64,9 +64,8 @@ vector into a running digest in global op order; two runs with the same
 inputs produce bit-identical digests (asserted by the test suite), while
 wall-clock numbers of course vary.  Cache hits reuse the digest fingerprint
 of the answer they were served from, so caching keeps runs bit-reproducible
-too (for fixed knobs).  Every replay — thread replicas included — starts
-from the *canonical* (CSR-ordered) form of the graph, the order worker
-processes reconstruct from shared memory, so adjacency-order-sensitive
+too (for fixed knobs).  Worker processes thaw their graphs from shared CSR
+arrays that keep every adjacency list's order, so adjacency-order-sensitive
 samplers draw identical streams everywhere: thread and process digests are
 bit-identical on update-free traces, and stay bit-identical under updates
 for incremental methods replayed through the delta path (asserted by the
@@ -99,7 +98,6 @@ from repro.api.registry import get_entry
 from repro.api.service import SimRankService
 from repro.errors import EvaluationError
 from repro.eval.metrics_export import flatten_metrics
-from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import touched_neighborhood
 from repro.parallel.cache import ResultCache
@@ -667,17 +665,6 @@ def run_workload(
     unknown = sorted(set(configs) - set(methods))
     if unknown:
         raise EvaluationError(f"configs given for methods not replayed: {unknown}")
-    # every replay starts from the canonical (CSR-ordered) form of the
-    # graph: delta-mode worker processes reconstruct their mutable mirrors
-    # from the shared CSR arrays in exactly this order, so starting thread
-    # replicas and rebuild-mode snapshots from it too is what lets
-    # adjacency-order-sensitive samplers (TSF draws neighbors by list
-    # position) agree bit-for-bit across every executor.  The round-trip
-    # is a fixed point, so re-canonicalising downstream changes nothing.
-    # (Snapshot replays skip this: the snapshot payload already *is* the
-    # canonical CSR byte order, attached without materialisation.)
-    if graph is not None:
-        graph = CSRGraph.from_digraph(graph).to_digraph()
     result = WorkloadResult(
         trace_signature=trace.signature(),
         trace_config=trace.config.as_dict(),

@@ -24,7 +24,12 @@ class TestRoundTrip:
             assert toy_csr.out_degree(node) == toy.out_degree(node)
 
     def test_to_digraph_round_trip(self, toy, toy_csr):
-        assert toy_csr.to_digraph() == toy
+        thawed = toy_csr.to_digraph()
+        assert thawed == toy
+        assert thawed.num_edges == toy.num_edges
+        for node in toy.nodes():
+            assert thawed.out_neighbors(node) == toy.out_neighbors(node)
+            assert thawed.in_neighbors(node) == toy.in_neighbors(node)
 
     def test_edges_iteration(self, toy, toy_csr):
         assert sorted(toy_csr.edges()) == sorted(toy.edges())

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the graph substrate."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, DiGraph
@@ -17,6 +17,51 @@ def edge_lists(draw, max_nodes=12, max_edges=40):
     ).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(pairs, max_size=max_edges, unique=True))
     return n, edges
+
+
+@st.composite
+def updated_graphs(draw, max_nodes=12, max_edges=40, max_updates=20):
+    """A DiGraph from edges in random order, then a valid update stream.
+
+    Random edge order leaves in-rows unsorted by source; each update
+    deletes its edge when present and inserts it otherwise, so removals
+    reorder rows mid-list.  ``n`` may be 0 or 1 and ``m`` 0, and nodes
+    without edges are common.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    if n < 2:
+        return DiGraph(n)
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda e: e[0] != e[1])
+    graph = DiGraph.from_edges(
+        draw(st.lists(pairs, max_size=max_edges, unique=True)), num_nodes=n
+    )
+    for source, target in draw(st.lists(pairs, max_size=max_updates)):
+        if graph.has_edge(source, target):
+            graph.remove_edge(source, target)
+        else:
+            graph.add_edge(source, target)
+    return graph
+
+
+def reference_csr_arrays(graph):
+    """``from_digraph``'s arrays built node by node: the conversion oracle."""
+    n, m = graph.num_nodes, graph.num_edges
+    arrays = {}
+    for direction, neighbors in (("out", graph.out_neighbors), ("in", graph.in_neighbors)):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = np.empty(m, dtype=np.int32)
+        pos = 0
+        for node in range(n):
+            row = neighbors(node)
+            indices[pos : pos + len(row)] = row
+            pos += len(row)
+            indptr[node + 1] = pos
+        arrays[f"{direction}_indptr"] = indptr
+        arrays[f"{direction}_indices"] = indices
+    return arrays
 
 
 class TestDiGraphModel:
@@ -78,7 +123,11 @@ class TestCsrRoundTrip:
     def test_digraph_csr_digraph_identity(self, data):
         n, edges = data
         g = DiGraph.from_edges(edges, num_nodes=n)
-        assert CSRGraph.from_digraph(g).to_digraph() == g
+        thawed = CSRGraph.from_digraph(g).to_digraph()
+        assert thawed == g
+        assert [thawed.in_neighbors(v) for v in g.nodes()] == [
+            g.in_neighbors(v) for v in g.nodes()
+        ]
 
     @given(edge_lists())
     @settings(max_examples=60, deadline=None)
@@ -107,3 +156,31 @@ class TestCsrRoundTrip:
                 assert neighbor == -1
             else:
                 assert neighbor in csr.in_neighbors(node).tolist()
+
+
+class TestCsrConversion:
+    """``from_digraph`` and ``to_digraph`` are exact inverses, row order included."""
+
+    @given(updated_graphs())
+    @example(DiGraph(0))
+    @example(DiGraph(5))
+    @settings(max_examples=80, deadline=None)
+    def test_from_digraph_matches_reference_loop(self, graph):
+        csr = CSRGraph.from_digraph(graph)
+        assert (csr.num_nodes, csr.num_edges) == (graph.num_nodes, graph.num_edges)
+        for field, want in reference_csr_arrays(graph).items():
+            got = getattr(csr, field)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @given(updated_graphs())
+    @example(DiGraph(0))
+    @example(DiGraph(5))
+    @settings(max_examples=80, deadline=None)
+    def test_to_digraph_restores_exact_lists(self, graph):
+        csr = CSRGraph.from_digraph(graph)
+        thawed = csr.to_digraph()
+        assert thawed._adjacency() == graph._adjacency()
+        assert thawed == graph
+        assert thawed.num_edges == graph.num_edges
+        assert CSRGraph.from_digraph(thawed).digest() == csr.digest()

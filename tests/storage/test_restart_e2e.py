@@ -91,8 +91,8 @@ def make_updates(graph, count):
 
 @pytest.fixture()
 def drill(tiny_wiki, tmp_path):
-    """Store + update stream + oracle base, all sharing one canonical graph."""
-    base = CSRGraph.from_digraph(tiny_wiki).to_digraph()  # canonical fixed point
+    """Store + update stream + oracle base, all sharing one graph."""
+    base = CSRGraph.from_digraph(tiny_wiki).to_digraph()  # an exact copy
     root = tmp_path / "store"
     PersistentGraphStore.create(root, base).close()
     stream = make_updates(base, 16)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError, EvaluationError
 from repro.storage import SnapshotError
+from repro.graph import DiGraph
 from repro.graph.csr import CSRGraph, as_csr
 from repro.parallel.pool import ParallelSimRankService
 from repro.parallel.sharded import (
@@ -35,12 +36,16 @@ DELTA_CONFIG = {DELTA_METHOD: {"eps_a": 0.3, "delta": 0.1, "seed": 11}}
 
 
 def canonical(graph):
-    """The canonical DiGraph form snapshots round-trip through."""
+    """A copy of ``graph`` thawed from its CSR snapshot.
+
+    The round trip is exact, so this is ``graph`` in its own adjacency
+    order — the form every snapshot-backed service serves.
+    """
     return CSRGraph.from_digraph(graph).to_digraph()
 
 
 def canonical_snapshot(graph, path):
-    """A snapshot holding the *canonical* bytes of ``graph``."""
+    """A snapshot holding the CSR bytes of ``graph``."""
     write_snapshot(as_csr(canonical(graph)), path)
     return path
 
@@ -85,6 +90,34 @@ class TestSnapshotServing:
 
 
 class TestStoreBackedService:
+    def test_store_snapshot_and_graph_serve_the_same_answers(self, tmp_path):
+        """A store thaws its graph with every in-row in its own order.
+
+        Node 0's in-row ``[3, 1, 2, 4]`` is not sorted by source; thawing it
+        sorted would make the store-backed service sample other walks.
+        """
+        graph = DiGraph.from_edges([
+            (3, 0), (1, 0), (2, 0), (0, 1), (0, 2),
+            (1, 3), (2, 3), (4, 0), (0, 4), (3, 4),
+        ])
+        config = {METHOD: {"eps_a": 0.1, "seed": 7}}
+        write_snapshot(graph, tmp_path / "g.csr")
+        answers = {}
+        with PersistentGraphStore.create(tmp_path / "s", graph) as store:
+            sources = {
+                "graph": {"graph": graph},
+                "snapshot": {"snapshot": tmp_path / "g.csr"},
+                "store": {"store": store},
+            }
+            for name, source in sources.items():
+                with ParallelSimRankService(
+                    **source, methods=(METHOD,), configs=config,
+                    workers=1, executor="sequential",
+                ) as service:
+                    answers[name] = service.topk(0, 4).as_pairs()
+        assert answers["store"] == answers["graph"]
+        assert answers["snapshot"] == answers["graph"]
+
     def test_every_burst_is_write_ahead_logged(self, small_graph, tmp_path):
         with PersistentGraphStore.create(tmp_path / "s", small_graph) as store:
             with ParallelSimRankService(
